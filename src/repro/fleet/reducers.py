@@ -1,11 +1,11 @@
 """Streaming reduction for fleet aggregates.
 
-The old aggregation path materialised every shard envelope in the parent
-(`[spool.read_shard(i) for i in ...]`) and handed the whole list to the
-study's ``aggregate``; at a million users that is gigabytes of parent
-heap for numbers that are ultimately a page of sums and Wilson intervals.
+Every study's aggregate is computed one way: shard envelopes fold, one
+at a time in shard-id order, into a small accumulator.  At a million
+users the numbers are ultimately a page of sums and Wilson intervals, so
+the parent never holds the population's envelopes.
 
-A :class:`StreamingReducer` replaces the list with four small functions:
+A :class:`StreamingReducer` is three small functions:
 
 ``init()``
     Build an empty accumulator state.
@@ -14,13 +14,9 @@ A :class:`StreamingReducer` replaces the list with four small functions:
     with counter dicts as :class:`repro.fleet.records.PackedCounters`
     views, so counter merges go straight from the shared-memory ring into
     the accumulator with no intermediate dicts.
-``merge(left, right)``
-    Combine two accumulator states built from *adjacent* shard-id ranges
-    (left range strictly before right); returns the combined state (may
-    mutate and return ``left``).
 ``finalize(state, meta)``
-    Produce the aggregate dict -- byte-identical (via ``aggregate_json``)
-    to what the legacy materialise-everything aggregate returns.
+    Produce the aggregate dict that ``FleetReport.aggregate_json``
+    serialises.
 
 Determinism contract: ``fold`` is applied in *shard-id order*, never
 arrival order.  :class:`OrderedFold` enforces that -- workers finish out
@@ -45,19 +41,16 @@ FoldFn = Callable[[Any, Any, int], None]
 
 @dataclass(frozen=True)
 class StreamingReducer:
-    """A constant-memory replacement for a study's list-based aggregate."""
+    """How one study folds shard envelopes into its aggregate."""
 
     init: Callable[[], Any]
     fold: FoldFn
-    merge: Callable[[Any, Any], Any]
     finalize: Callable[[Any, Mapping[str, Any]], Dict[str, Any]]
 
     def reduce_envelopes(
         self, envelopes: Sequence[Any], meta: Mapping[str, Any]
     ) -> Dict[str, Any]:
-        """Run the whole pipeline over in-memory envelopes (the legacy
-        aggregate signature) -- lets a study define ``aggregate`` and
-        ``streaming`` from one source of truth."""
+        """Fold in-memory envelopes in list order and finalise."""
         state = self.init()
         for position, envelope in enumerate(envelopes):
             self.fold(state, envelope, position)

@@ -167,14 +167,9 @@ class Spool:
             raise ValueError(f"checkpoint {path} is truncated")
         return body[:spec_len], body[spec_len:]
 
-    def read_shard(self, index: int) -> Dict[str, Any]:
-        """Load a completed shard's result envelope (fully materialised)."""
-        _, packed = self._split_checkpoint(self.shard_path(index))
-        return unpack_record(packed, materialize=True)
-
     def read_shard_packed(self, index: int) -> bytes:
-        """A completed shard's packed result bytes -- the streaming merge
-        path feeds these to the reducer without building the dict tree."""
+        """A completed shard's packed result bytes -- the merge path feeds
+        these to the reducer without building the dict tree."""
         _, packed = self._split_checkpoint(self.shard_path(index))
         return bytes(packed)
 

@@ -3,8 +3,9 @@
 A *study* is anything that can be cut into independent, deterministic
 shards: it knows how to (1) partition a population of a given size into
 :class:`ShardSpec` work items with hierarchically derived seeds, (2) run
-one shard to a picklable result envelope, and (3) aggregate the ordered
-envelopes into one population-level report.
+one shard to a picklable result envelope, and (3) build the
+:class:`~repro.fleet.reducers.StreamingReducer` that folds the envelopes,
+in shard order, into one population-level report.
 
 The two built-ins mirror the paper's evaluation:
 
@@ -22,7 +23,7 @@ is byte-identical for any ``--workers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.errors import FleetError, UnknownStudyError
@@ -65,7 +66,7 @@ class ShardSpec:
 
 @dataclass(frozen=True)
 class StudyDefinition:
-    """How the engine partitions, runs, and aggregates one study."""
+    """How the engine partitions, runs, and reduces one study."""
 
     name: str
     description: str
@@ -73,15 +74,10 @@ class StudyDefinition:
     build_shards: Callable[[int, int, Dict[str, Any]], List[ShardSpec]]
     #: spec -> picklable result envelope (runs inside a worker process).
     run_shard: Callable[[ShardSpec], Dict[str, Any]]
-    #: (ordered envelopes, meta) -> population aggregate (JSON-safe).
-    aggregate: Callable[[List[Dict[str, Any]], Dict[str, Any]], Dict[str, Any]]
-    #: Optional zero-arg factory for a
-    #: :class:`repro.fleet.reducers.StreamingReducer`.  When present the
-    #: engine folds shard records one at a time (constant parent memory,
-    #: shared-memory merge path) instead of materialising every envelope;
-    #: the finalised aggregate must serialise byte-identically to
-    #: :attr:`aggregate`'s output.  ``None`` keeps the legacy path.
-    streaming: Optional[Callable[[], Any]] = field(default=None)
+    #: Zero-arg factory for the :class:`repro.fleet.reducers.StreamingReducer`
+    #: that folds shard envelopes, in shard order, into the JSON-safe
+    #: population aggregate.
+    reducer: Callable[[], Any]
 
 
 _REGISTRY: Dict[str, StudyDefinition] = {}
@@ -136,14 +132,6 @@ def _longterm_run(spec: ShardSpec) -> Dict[str, Any]:
     )
 
 
-def _longterm_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.analysis.population import aggregate_longterm
-
-    return aggregate_longterm(envelopes, meta)
-
-
 # -- usability (Section V-B at population scale) ---------------------------
 
 
@@ -170,14 +158,6 @@ def _usability_run(spec: ShardSpec) -> Dict[str, Any]:
 
     first = spec.param("first")
     return run_usability_shard(spec.seed, range(first, first + spec.param("count")))
-
-
-def _usability_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.analysis.population import aggregate_usability
-
-    return aggregate_usability(envelopes, meta)
 
 
 # -- redteam (the adversarial campaign corpus, sharded) --------------------
@@ -225,14 +205,6 @@ def _redteam_run(spec: ShardSpec) -> Dict[str, Any]:
         count=spec.param("count"),
         include_baseline=bool(spec.param("baseline", 1)),
     )
-
-
-def _redteam_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.redteam.engine import aggregate_redteam
-
-    return aggregate_redteam(envelopes, meta)
 
 
 # -- synthetic (scale/straggler harness) -----------------------------------
@@ -336,14 +308,6 @@ class SyntheticState:
         self.events += envelope["events"]
         merge_counters(self.counters, envelope["counters"])
 
-    def merge(self, other: "SyntheticState") -> "SyntheticState":
-        self.shards += other.shards
-        self.users += other.users
-        self.checksum = (self.checksum + other.checksum) % (1 << 61)
-        self.events += other.events
-        self.counters.merge(other.counters)
-        return self
-
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         from repro.analysis.population import proportion_summary
 
@@ -366,17 +330,8 @@ def synthetic_reducer():
     return StreamingReducer(
         init=SyntheticState,
         fold=lambda state, envelope, index: state.fold(envelope),
-        merge=lambda left, right: left.merge(right),
         finalize=lambda state, meta: state.finalize(dict(meta) if meta else None),
     )
-
-
-def _synthetic_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    # One source of truth: the batch aggregate *is* the reducer run over a
-    # materialised list, so the two paths cannot drift.
-    return synthetic_reducer().reduce_envelopes(envelopes, meta)
 
 
 def _longterm_reducer():
@@ -403,8 +358,7 @@ register_study(
         description="Section V-D long-term study, one machine pair per shard",
         build_shards=_longterm_build,
         run_shard=_longterm_run,
-        aggregate=_longterm_aggregate,
-        streaming=_longterm_reducer,
+        reducer=_longterm_reducer,
     )
 )
 register_study(
@@ -413,8 +367,7 @@ register_study(
         description="Section V-B usability study, a batch of participants per shard",
         build_shards=_usability_build,
         run_shard=_usability_run,
-        aggregate=_usability_aggregate,
-        streaming=_usability_reducer,
+        reducer=_usability_reducer,
     )
 )
 register_study(
@@ -423,8 +376,7 @@ register_study(
         description="adversarial campaign corpus, a block of scenario trials per shard",
         build_shards=_redteam_build,
         run_shard=_redteam_run,
-        aggregate=_redteam_aggregate,
-        streaming=_redteam_reducer,
+        reducer=_redteam_reducer,
     )
 )
 register_study(
@@ -433,7 +385,6 @@ register_study(
         description="deterministic scale/straggler harness, a batch of users per shard",
         build_shards=_synthetic_build,
         run_shard=_synthetic_run,
-        aggregate=_synthetic_aggregate,
-        streaming=synthetic_reducer,
+        reducer=synthetic_reducer,
     )
 )

@@ -1,16 +1,18 @@
-"""Unit tests for population-level aggregation and interval statistics."""
+"""Unit tests for population-level aggregation and interval statistics.
+
+The study aggregates are exercised through their streaming reducers,
+folding in-memory envelopes in list order."""
 
 import json
 
 import pytest
 
 from repro.analysis.population import (
-    aggregate_longterm,
-    aggregate_usability,
+    longterm_reducer,
     proportion_summary,
+    usability_reducer,
     wilson_interval,
 )
-
 
 class TestWilsonInterval:
     def test_basic_properties(self):
@@ -84,7 +86,7 @@ class TestAggregateLongterm:
             _longterm_envelope(0, stolen=5, blocked=5),
             _longterm_envelope(1, stolen=3, blocked=7),
         ]
-        aggregate = aggregate_longterm(envelopes)
+        aggregate = longterm_reducer().reduce_envelopes(envelopes, {})
         assert aggregate["machines"] == 2
         protected = aggregate["protected"]
         assert protected["attempts_blocked"] == 12
@@ -99,18 +101,20 @@ class TestAggregateLongterm:
 
     def test_order_of_envelope_fields_is_irrelevant_to_json(self):
         envelopes = [_longterm_envelope(0, 2, 2), _longterm_envelope(1, 1, 3)]
-        one = json.dumps(aggregate_longterm(envelopes), sort_keys=True)
+        one = json.dumps(longterm_reducer().reduce_envelopes(envelopes, {}), sort_keys=True)
         # Same data with arm dict keys built in reverse insertion order.
         reversed_envelopes = [
             {key: envelope[key] for key in reversed(list(envelope))}
             for envelope in envelopes
         ]
-        other = json.dumps(aggregate_longterm(reversed_envelopes), sort_keys=True)
+        other = json.dumps(
+            longterm_reducer().reduce_envelopes(reversed_envelopes, {}), sort_keys=True
+        )
         assert one == other
 
     def test_meta_passthrough(self):
-        aggregate = aggregate_longterm(
-            [_longterm_envelope(0, 1, 1)], meta={"seed": 7, "quarantined_shards": []}
+        aggregate = longterm_reducer().reduce_envelopes(
+            [_longterm_envelope(0, 1, 1)], {"seed": 7, "quarantined_shards": []}
         )
         assert aggregate["meta"]["seed"] == 7
 
@@ -146,7 +150,7 @@ class TestAggregateUsability:
                 ]
             },
         ]
-        aggregate = aggregate_usability(envelopes)
+        aggregate = usability_reducer().reduce_envelopes(envelopes, {})
         assert aggregate["participants"] == 5
         assert aggregate["identical_experience"]["successes"] == 4
         assert aggregate["camera_blocked"]["rate"] == 1.0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.fleet.engine import run_fleet
 from repro.fleet.errors import FleetError, UnknownStudyError
+from repro.fleet.reducers import StreamingReducer
 from repro.fleet.spool import Spool
 from repro.fleet.studies import (
     ShardSpec,
@@ -60,21 +61,32 @@ def _run_hang(spec):
     return _run_square(spec)
 
 
-def _aggregate(envelopes, meta):
-    return {
-        "values": [envelope["value"] for envelope in envelopes],
-        "total": sum(envelope["value"] for envelope in envelopes),
-        "quarantined": meta["quarantined_shards"],
-    }
+def _plain(envelope):
+    # The square-study envelope is a pure str->int dict, so the record
+    # codec hands it to the reducer as a zero-copy PackedCounters view.
+    return envelope if isinstance(envelope, dict) else envelope.to_dict()
 
 
-def _definition(name, runner):
+def _list_reducer():
+    """Appends every folded value, so ``values`` shows the fold order."""
+    return StreamingReducer(
+        init=list,
+        fold=lambda state, envelope, index: state.append(_plain(envelope)["value"]),
+        finalize=lambda state, meta: {
+            "values": list(state),
+            "total": sum(state),
+            "quarantined": meta["quarantined_shards"],
+        },
+    )
+
+
+def _definition(name, runner, reducer=_list_reducer):
     return StudyDefinition(
         name=name,
         description=f"synthetic engine-test study {name}",
         build_shards=_build,
         run_shard=runner,
-        aggregate=_aggregate,
+        reducer=reducer,
     )
 
 
@@ -110,6 +122,10 @@ class TestValidation:
             run_fleet("t-square", population=0, params=_params("t-square"))
         with pytest.raises(FleetError):
             run_fleet("t-square", population=1, workers=0, params=_params("t-square"))
+        for workers in (1, 2):
+            with pytest.raises(FleetError, match="lease_size must be >= 1"):
+                run_fleet("t-square", population=4, workers=workers, lease_size=0,
+                          params=_params("t-square"))
 
 
 class TestInlineExecution:
@@ -242,27 +258,13 @@ class TestResume:
 
 
 def _sum_streaming():
-    from repro.fleet.reducers import StreamingReducer
-
     def fold(state, envelope, index):
-        # The square-study envelope is a pure str->int dict, so on the
-        # merge path it arrives as a zero-copy PackedCounters view (the
-        # codec's counter-blob contract); the materialised path and the
-        # spool read path hand back plain dicts.
-        if not isinstance(envelope, dict):
-            envelope = envelope.to_dict()
-        state["total"] += envelope["value"]
+        state["total"] += _plain(envelope)["value"]
         state["count"] += 1
-
-    def merge(left, right):
-        left["total"] += right["total"]
-        left["count"] += right["count"]
-        return left
 
     return StreamingReducer(
         init=lambda: {"total": 0, "count": 0},
         fold=fold,
-        merge=merge,
         finalize=lambda state, meta: {
             "values": None,
             "total": state["total"],
@@ -275,40 +277,18 @@ def _sum_streaming():
 @pytest.fixture()
 def streaming_studies():
     for name, runner in {"s-square": _run_square, "s-poison": _run_poison}.items():
-        definition = _definition(name, runner)
-        definition = StudyDefinition(
-            name=definition.name,
-            description=definition.description,
-            build_shards=definition.build_shards,
-            run_shard=definition.run_shard,
-            aggregate=definition.aggregate,
-            streaming=_sum_streaming,
-        )
-        register_study(definition, replace=True)
+        register_study(_definition(name, runner, _sum_streaming), replace=True)
     yield
     for name in ("s-square", "s-poison"):
         unregister_study(name)
 
 
 class TestStreamingReduce:
-    def test_streaming_matches_materialised_totals(self, streaming_studies):
-        streamed = run_fleet(
-            "s-square", population=6, seed=3, params=_params("s-square")
-        )
-        legacy = run_fleet(
-            "s-square", population=6, seed=3, params=_params("s-square"),
-            streaming=False,
-        )
-        assert streamed.streamed and not legacy.streamed
-        assert streamed.aggregate["total"] == legacy.aggregate["total"]
-        assert streamed.aggregate["count"] == 6
-
     def test_pool_streams_and_matches_inline(self, streaming_studies):
         inline = run_fleet("s-square", population=8, seed=3, params=_params("s-square"))
         pooled = run_fleet(
             "s-square", population=8, seed=3, workers=3, params=_params("s-square")
         )
-        assert inline.streamed and pooled.streamed
         assert pooled.aggregate == inline.aggregate
 
     def test_streaming_quarantine_skips_poison_shard(self, streaming_studies):
@@ -320,7 +300,6 @@ class TestStreamingReduce:
             params=_params("s-poison", poison_index=2),
             max_retries=1,
         )
-        assert report.streamed
         assert [shard.index for shard in report.quarantined] == [2]
         # (2+2)^2 skipped: 4 + 9 + 25.
         assert report.aggregate["total"] == 38
@@ -354,14 +333,17 @@ class TestLeaseAndStealReporting:
         assert report.steals >= 0
         rendered = report.render()
         assert "lease / steals" in rendered
-        assert "merge                  : materialised" in rendered
+        assert "merge                  : peak " in rendered
 
     def test_streamed_render_reports_buffer_high_water(self, streaming_studies):
         report = run_fleet(
             "s-square", population=5, seed=1, workers=2, params=_params("s-square")
         )
         rendered = report.render()
-        assert "merge                  : streaming (peak" in rendered
+        assert (
+            f"merge                  : peak {report.peak_buffered_records} "
+            f"records buffered" in rendered
+        )
         assert report.peak_buffered_records >= 1
 
     def test_steal_disabled_still_completes(self, synthetic_studies):

@@ -16,6 +16,7 @@ does) and then raises.
 import pytest
 
 from repro.fleet.engine import run_fleet
+from repro.fleet.reducers import StreamingReducer
 from repro.fleet.spool import Spool
 from repro.fleet.studies import (
     ShardSpec,
@@ -56,15 +57,24 @@ def _run_traitor(spec):
     return result
 
 
-def _aggregate(envelopes, meta):
-    return {
-        "values": [envelope["value"] for envelope in envelopes],
-        "poisoned": [e["index"] for e in envelopes if e["poisoned"]],
-        "counters": Counters.merged(
-            {"fleet.shards": 1} for _ in envelopes
-        ).snapshot(),
-        "quarantined": meta["quarantined_shards"],
-    }
+def _fold(state, envelope, index):
+    state["values"].append(envelope["value"])
+    if envelope["poisoned"]:
+        state["poisoned"].append(envelope["index"])
+    state["counters"].merge_snapshot({"fleet.shards": 1})
+
+
+def _reducer():
+    return StreamingReducer(
+        init=lambda: {"values": [], "poisoned": [], "counters": Counters()},
+        fold=_fold,
+        finalize=lambda state, meta: {
+            "values": state["values"],
+            "poisoned": state["poisoned"],
+            "counters": state["counters"].snapshot(),
+            "quarantined": meta["quarantined_shards"],
+        },
+    )
 
 
 @pytest.fixture()
@@ -75,7 +85,7 @@ def traitor_study():
             description="synthetic study that checkpoints then dies",
             build_shards=_build,
             run_shard=_run_traitor,
-            aggregate=_aggregate,
+            reducer=_reducer,
         ),
         replace=True,
     )

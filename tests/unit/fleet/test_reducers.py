@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.fleet.errors import FleetError
+from repro.fleet.records import pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold, StreamingReducer
 from repro.fleet.studies import synthetic_reducer
 
@@ -13,7 +14,6 @@ def trace_reducer() -> StreamingReducer:
     return StreamingReducer(
         init=list,
         fold=lambda state, envelope, index: state.append((index, envelope)),
-        merge=lambda left, right: left + right,
         finalize=lambda state, meta: {"trace": list(state), "meta": dict(meta)},
     )
 
@@ -22,7 +22,6 @@ def sum_reducer() -> StreamingReducer:
     return StreamingReducer(
         init=lambda: [0],
         fold=lambda state, envelope, index: state.__setitem__(0, state[0] + envelope),
-        merge=lambda left, right: [left[0] + right[0]],
         finalize=lambda state, meta: {"total": state[0]},
     )
 
@@ -110,12 +109,13 @@ class TestReduceEnvelopes:
         assert reducer.reduce_envelopes([3, 4, 5], {})["total"] == 12
 
 
-# -- merge algebra ----------------------------------------------------------
+# -- arrival order ----------------------------------------------------------
 #
-# The two-level engine relies on merge being (a) associative over adjacent
-# ranges and (b) equivalent to folding the concatenated range -- that is
-# what makes machine-level partial states safe to combine in any grouping,
-# as long as ranges stay in shard-id order.
+# Workers finish out of order (stragglers, retries, steals) and the parent
+# offers each record as it arrives: a thunk over the ring bytes, or a
+# spool-resident index.  Quarantined shards are skipped.  Whatever the
+# arrival order and mix, the aggregate must equal folding the surviving
+# envelopes in shard order.
 
 @st.composite
 def _envelope(draw):
@@ -140,44 +140,37 @@ def _envelope(draw):
 envelopes = st.lists(_envelope(), min_size=0, max_size=12)
 
 
-def fold_range(reducer, items, start):
-    state = reducer.init()
-    for offset, envelope in enumerate(items):
-        reducer.fold(state, envelope, start + offset)
-    return state
+@given(envelopes=envelopes, data=st.data())
+def test_any_arrival_order_folds_like_shard_order(envelopes, data):
+    count = len(envelopes)
+    arrival = data.draw(st.permutations(range(count)), label="arrival")
+    resident = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    skipped = data.draw(st.sets(st.sampled_from(range(count))) if count else st.just(set()))
+    packed = [pack_record(envelope) for envelope in envelopes]
 
+    # The synthetic sums are order-blind, so also record the fold order.
+    folded_order = []
+    synthetic = synthetic_reducer()
 
-@given(envelopes=envelopes, split=st.integers(0, 12))
-def test_merge_of_adjacent_ranges_equals_single_fold(envelopes, split):
-    split = min(split, len(envelopes))
-    reducer = synthetic_reducer()
+    def fold_in_order(state, envelope, index):
+        folded_order.append(index)
+        synthetic.fold(state, envelope, index)
 
-    whole = fold_range(reducer, envelopes, 0)
-    left = fold_range(reducer, envelopes[:split], 0)
-    right = fold_range(reducer, envelopes[split:], split)
-    merged = reducer.merge(left, right)
+    reducer = StreamingReducer(synthetic.init, fold_in_order, synthetic.finalize)
+    fold = OrderedFold(reducer, range(count), reader=lambda index: unpack_record(packed[index]))
+    for index in arrival:
+        if index in skipped:
+            fold.skip(index)
+        elif resident[index]:
+            fold.offer_resident(index)
+        else:
+            fold.offer(index, lambda record=packed[index]: unpack_record(record))
 
-    meta = {"population": 0, "shards": len(envelopes), "study": "synthetic"}
-    assert reducer.finalize(merged, meta) == reducer.finalize(whole, meta)
-
-
-@given(envelopes=envelopes, a=st.integers(0, 12), b=st.integers(0, 12))
-def test_merge_is_associative_over_three_way_splits(envelopes, a, b):
-    a, b = sorted((min(a, len(envelopes)), min(b, len(envelopes))))
-    reducer = synthetic_reducer()
-
-    def state(lo, hi):
-        return fold_range(reducer, envelopes[lo:hi], lo)
-
-    left_first = reducer.merge(
-        reducer.merge(state(0, a), state(a, b)), state(b, len(envelopes))
-    )
-    right_first = reducer.merge(
-        state(0, a), reducer.merge(state(a, b), state(b, len(envelopes)))
-    )
-
-    meta = {"population": 0, "shards": len(envelopes), "study": "synthetic"}
-    assert reducer.finalize(left_first, meta) == reducer.finalize(right_first, meta)
+    meta = {"population": 0, "shards": count, "study": "synthetic"}
+    kept = [index for index in range(count) if index not in skipped]
+    assert folded_order == kept
+    expected = synthetic.reduce_envelopes([envelopes[index] for index in kept], meta)
+    assert fold.finalize(meta) == expected
 
 
 @given(

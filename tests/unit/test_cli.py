@@ -139,6 +139,17 @@ class TestFleetCommand:
         assert main(["fleet", "nope"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fleet_zero_lease_rejected_for_any_worker_count(self, capsys, workers):
+        # A pool used to die with an uncaught ValueError from the steal
+        # scheduler, while the inline executor silently ignored the value.
+        assert main([
+            "fleet", "synthetic", "--users", "64", "--workers", workers,
+            "--lease", "0",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "fleet error: lease_size must be >= 1, got 0" in err
+
 
 class TestRedteamCommand:
     def test_campaign_table(self, capsys):
