@@ -19,8 +19,8 @@ trade at three stack sizes:
   occluded, so the composer culls its first rect, flags the drawable,
   and the steady state is a memo-lane draw plus a pure cache hit --
   the cheapest honest answer for a dirty-but-invisible window.
-  ``test_compose_partial_speedup`` additionally races the incremental
-  path against the full-recompose fallback on the same workload and
+  ``test_compose_partial_speedup`` additionally races the fast path
+  against the pure-python reference composition on the same workload and
   requires a >=5x win with byte-identical output.
 
 Counter assertions pin the mechanism: a round that got fast by serving
@@ -28,11 +28,13 @@ stale frames (or by not caching at all) fails the test rather than
 polluting the numbers.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 from repro.analysis.benchops import ComposeRig
+from repro.core.config import reference_config
 
 #: Captures per timed round.
 COMPOSE_OPS = 1_000
@@ -156,21 +158,24 @@ def test_compose_multi_window_animation(benchmark, protected):
 
 
 def test_compose_partial_speedup(protected):
-    """The incremental path beats full recomposition >=5x, byte for byte.
+    """The fast path beats the reference composition >=5x, byte for byte.
 
     Not a pytest-benchmark case: this is the acceptance gate for the
     damage-rect pipeline, so it must run (and fail loudly) even under
-    ``--benchmark-disable``.  Two identically built 128-window rigs run
-    the same single-dirty-region workload; one composes incrementally,
-    the other through the full-recompose fallback
-    (``incremental_compose = False``).  Their frames must stay
-    byte-identical, and the incremental rounds must be at least 5x
-    faster (measured best-of to shrug off scheduler noise; the gap is
-    ~7x on a quiet machine).
+    ``--benchmark-disable``.  Two 128-window rigs run the same
+    single-dirty-region workload; one composes on the fast display path,
+    the other on a ``reference_config()`` machine, which composes a fresh
+    pure-python frame every call.  Their frames must stay byte-identical,
+    and the fast rounds must be at least 5x faster (measured best-of to
+    shrug off scheduler noise; the gap is two orders of magnitude).
     """
     fast = ComposeRig(protected, windows=128, partial=True)
-    reference = ComposeRig(protected, windows=128, partial=True)
-    reference.machine.xserver.incremental_compose = False
+    reference = ComposeRig(
+        True,
+        config=dataclasses.replace(reference_config(), force_grant=True),
+        windows=128,
+        partial=True,
+    )
 
     # Correctness first: identical draw sequences produce identical
     # frames on both paths, composition by composition.
@@ -197,18 +202,20 @@ def test_compose_partial_speedup(protected):
         best_reference = min(best_reference, time.perf_counter() - start)
 
     # The mechanism pins: the fast rig culled the occluded window once and
-    # then served cache hits; the reference recomposed every time.
+    # then served cache hits; the reference never touched a cache.
     fast_x = fast.machine.xserver
     reference_x = reference.machine.xserver
     assert fast_x.compose_rects_culled >= 1
     assert fast_x.compose_cache_hits >= 6 * ops
     assert fast_x.compose_cache_misses <= 2
+    assert not reference_x._fast_display_active()
+    assert reference_x.compose_cache_hits == 0
     assert reference_x.compose_partial_hits == 0
-    assert reference_x.compose_cache_misses >= 6 * ops + 32
+    assert reference_x.compose_cache_misses == 0
 
     speedup = best_reference / best_fast
     assert speedup >= 5.0, (
-        f"incremental compose only {speedup:.2f}x faster than full "
-        f"recompose ({best_fast * 1e6 / ops:.2f} vs "
+        f"fast compose only {speedup:.2f}x faster than the reference "
+        f"composition ({best_fast * 1e6 / ops:.2f} vs "
         f"{best_reference * 1e6 / ops:.2f} us/op)"
     )

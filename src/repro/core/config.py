@@ -81,7 +81,7 @@ class OverhaulConfig:
     # mechanism; production and benchmark configurations leave them on.
 
     #: Zero-copy netlink delivery for the dominant message types
-    #: (payload-level handlers, pooled datagrams, batched flushes).
+    #: (payload-level handlers that build no datagram, batched flushes).
     fast_netlink: bool = True
     #: Memoize the per-pid ptrace verdict per (interaction_ts, ptrace
     #: version) epoch, making the delta-comparison pure integer arithmetic.
@@ -89,11 +89,14 @@ class OverhaulConfig:
     #: Batch audit-log appends (flushed on first read; retention window
     #: identical to eager appends).
     fast_audit_batch: bool = True
-    #: Damage-tracked display pipeline: composition caching for root
-    #: captures, zero-copy drawable snapshots for GetImage/CopyArea, the
-    #: expiry-windowed overlay banner cache, and selection-transfer reuse
-    #: for repeat pastes.  Forced off by tracing at call time and by
-    #: prompt-mode / gray-box configurations at assembly time.
+    #: Damage-tracked display pipeline: the framebuffer composer for root
+    #: captures (patched in place from the damage journal, with occlusion
+    #: culling), zero-copy drawable snapshots for GetImage/CopyArea, the
+    #: zero-copy SendEvent payload handoff, and the expiry-windowed
+    #: overlay banner cache.  Off, every capture is a fresh pure-python
+    #: composition -- the reference the differential suites compare
+    #: against.  Forced off by tracing at call time and by prompt-mode /
+    #: gray-box configurations at assembly time.
     fast_display: bool = True
     #: numpy-vectorized framebuffer blits on the fast display path.  Off
     #: in :func:`reference_config` (the reference composition is pure

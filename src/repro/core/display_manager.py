@@ -17,7 +17,6 @@ into the X server by :class:`repro.core.system.OverhaulSystem`.  It provides:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -35,10 +34,6 @@ from repro.xserver.client import XClient
 from repro.xserver.events import EventKind, XEvent
 from repro.xserver.server import XServer
 from repro.xserver.window import Window
-
-
-#: Query-payload pool bound (LRU-evicted).
-_QUERY_POOL_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -79,14 +74,6 @@ class DisplayManagerExtension:
         self.queries_sent = 0
         self.alerts_displayed = 0
         self.channel_failures = 0
-        #: Fast-display payload pool: Q_{A,t} datagrams keyed by
-        #: (client, operation), refreshed with the current timestamp.  The
-        #: kernel-side fast handler reads the payload without retaining it,
-        #: so reuse is invisible to everything but the allocator.  Bounded
-        #: by LRU eviction -- a machine cycling through many clients keeps
-        #: its active ones pooled instead of freezing the pool at the
-        #: first 1024 keys.
-        self._query_payloads: "OrderedDict[tuple, dict]" = OrderedDict()
 
     # -- trusted input path ---------------------------------------------------
 
@@ -207,28 +194,11 @@ class DisplayManagerExtension:
         manager never fails open.
         """
         self.queries_sent += 1
-        xserver = self._xserver
-        if (
-            xserver.fast_display
-            and not xserver.tracer.enabled
-            and xserver.prompt_interceptor is None
-        ):
-            pool = self._query_payloads
-            key = (client.client_id, operation)
-            payload = pool.get(key)
-            if payload is None:
-                payload = {"pid": client.pid, "operation": operation, "timestamp": now}
-                pool[key] = payload
-                if len(pool) > _QUERY_POOL_LIMIT:
-                    pool.popitem(last=False)
-            else:
-                payload["timestamp"] = now
-                pool.move_to_end(key)
-        else:
-            payload = {"pid": client.pid, "operation": operation, "timestamp": now}
         try:
             response = self._channel.send_to_kernel(
-                self._task, MSG_PERMISSION_QUERY, payload
+                self._task,
+                MSG_PERMISSION_QUERY,
+                {"pid": client.pid, "operation": operation, "timestamp": now},
             )
         except KernelError:
             self.channel_failures += 1

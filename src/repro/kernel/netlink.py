@@ -65,9 +65,6 @@ class NetlinkChannel:
         self.userspace_receiver: Optional[Callable[[NetlinkMessage], None]] = None
         self.sent_to_kernel: int = 0
         self.sent_to_userspace: int = 0
-        #: Preallocated datagram reused by the pooled slow-handler path;
-        #: ``None`` while lent out to a handler (re-entrancy guard).
-        self._pool: Optional[NetlinkMessage] = NetlinkMessage("", {}, None, 0)
 
     def send_to_kernel(self, task: Task, msg_type: str, payload: Dict[str, Any]) -> Any:
         """Deliver a message from the owning task to the kernel.
@@ -76,19 +73,15 @@ class NetlinkChannel:
         malicious process from piggybacking on the X server's link even if
         it somehow obtained a reference to it.
 
-        Delivery picks one of three paths, cheapest first:
+        Delivery picks one of two paths:
 
         1. **fast handler** -- for the dominant message types the kernel
            side registers a payload-level handler; no datagram object is
-           built at all (the zero-copy path).
-        2. **pooled datagram** -- a preallocated :class:`NetlinkMessage` is
-           refilled and lent to the regular handler (kernel handlers do
-           not retain datagrams; re-entrant sends fall back to a fresh
-           allocation).
-        3. **reference path** -- a fresh datagram per message, used
-           whenever tracing is on or the fast path is toggled off, so the
-           traced span tree and the equivalence tests see the unmodified
-           protocol.
+           built at all (the zero-copy path).  Skipped whenever tracing is
+           on or the fast path is toggled off, so the traced span tree and
+           the equivalence tests see the unmodified protocol.
+        2. **reference path** -- a fresh datagram per message, dispatched
+           to the regular kernel handler.
         """
         if self.closed:
             raise InvalidArgument(f"netlink channel {self.label!r} is closed")
@@ -107,24 +100,6 @@ class NetlinkChannel:
             fast = subsystem._fast_handlers.get(msg_type)
             if fast is not None:
                 return fast(self, payload, task.pid)
-            handler = subsystem._kernel_handlers.get(msg_type)
-            if handler is None:
-                raise InvalidArgument(
-                    f"no kernel handler for netlink type {msg_type!r}"
-                )
-            message = self._pool
-            if message is None:  # re-entrant send: pool is lent out
-                message = NetlinkMessage(msg_type, payload, task.pid, subsystem.now)
-                return handler(self, message)
-            self._pool = None
-            try:
-                message.msg_type = msg_type
-                message.payload = payload
-                message.sender_pid = task.pid
-                message.timestamp = subsystem.now
-                return handler(self, message)
-            finally:
-                self._pool = message
         message = NetlinkMessage(
             msg_type=msg_type,
             payload=payload,
@@ -176,19 +151,18 @@ class NetlinkChannel:
         count = len(payloads)
         self.sent_to_kernel += count
         subsystem.messages_to_kernel += count
+        pid = task.pid
         fast = subsystem._fast_handlers.get(msg_type)
         if fast is not None:
-            pid = task.pid
             return [fast(self, payload, pid) for payload in payloads]
         handler = subsystem._kernel_handlers.get(msg_type)
         if handler is None:
             raise InvalidArgument(f"no kernel handler for netlink type {msg_type!r}")
-        message = NetlinkMessage(msg_type, {}, task.pid, subsystem.now)
-        results = []
-        for payload in payloads:
-            message.payload = payload
-            results.append(handler(self, message))
-        return results
+        now = subsystem.now
+        return [
+            handler(self, NetlinkMessage(msg_type, payload, pid, now))
+            for payload in payloads
+        ]
 
     def send_to_userspace(self, msg_type: str, payload: Dict[str, Any]) -> None:
         """Deliver a kernel-originated message to the userspace endpoint."""

@@ -14,7 +14,7 @@ how fast a decision is made, never which decision, what gets logged, or
 what the experiments count.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Machine, paper_config, reference_config
@@ -182,20 +182,21 @@ def test_tracing_forces_the_reference_path_with_identical_results(script):
 
 # -- display-pipeline differential tests --------------------------------------
 #
-# The damage-tracked display pipeline (composition cache, zero-copy drawable
-# snapshots, banner cache, selection-transfer reuse) must be invisible in
-# everything but host time.  These scripts drive window lifecycle, painting,
-# captures (core and MIT-SHM), CopyArea/CopyPlane, the full ICCCM clipboard,
-# property traffic including snooping subscriptions, and overlay alerts on a
-# fast and a reference machine, and require byte-identical screens, pixmap
-# contents, properties, pasted data, denial texts, and counters.
+# The damage-tracked display pipeline (framebuffer composer, zero-copy
+# drawable snapshots, banner cache) must be invisible in everything but host
+# time.  These scripts drive window lifecycle, painting, captures (core and
+# MIT-SHM), CopyArea/CopyPlane, the full ICCCM clipboard, property traffic
+# including snooping subscriptions, overlay alerts, and client disconnects
+# (which may strand a transfer mid-paste) on a fast and a reference machine,
+# and require byte-identical screens, pixmap contents, properties, pasted
+# data, denial texts, and counters.
 #
 # Transcripts deliberately never record raw drawable ids: the id counter is
 # process-global, so the two machines allocate different ids for the same
 # windows.  Pids, by contrast, are per-machine deterministic.
 
 from repro.apps.base import SELECTION_PROPERTY, SimApp
-from repro.xserver.errors import BadAccess
+from repro.xserver.errors import BadAccess, XError
 from repro.xserver.events import EventKind
 from repro.xserver.selection import CLIPBOARD
 from repro.xserver.window import Geometry
@@ -226,12 +227,35 @@ display_steps = st.lists(
         st.tuples(st.just("subscribe"), st.integers(0, 2), st.integers(0, 2)),
         st.tuples(st.just("alert"), st.integers(0, 3)),
         st.tuples(st.just("advance"), st.integers(1, int(from_seconds(4.0)))),
+        # 0: disconnect now; 1/2: disconnect mid-paste, on the app's next
+        # SelectionRequest (an owner that has just stored the data) or
+        # SelectionNotify (a requestor that has not fetched it yet).
+        st.tuples(st.just("disconnect"), st.integers(0, 2), st.integers(0, 2)),
     ),
     min_size=1,
     max_size=40,
 )
 
 _CAPTURE_VIAS = ["core", "mit-shm"]
+
+#: Steps whose first field is not an acting app.
+_APP_FREE_STEPS = ("alert", "advance")
+
+#: Mid-paste disconnect triggers, by the step's phase field.
+_DISCONNECT_ON = {1: EventKind.SELECTION_REQUEST, 2: EventKind.SELECTION_NOTIFY}
+
+#: Explicit mid-paste disconnect scripts (random scripts rarely line up the
+#: interaction, copy, arming and paste these need): the requestor dying
+#: with its data stored but unfetched, and the owner dying right after
+#: answering while a snooper watches the requestor's window.
+_REQUESTOR_DIES_MID_PASTE = [
+    ("click", 0), ("copy", 0, 7), ("disconnect", 1, 2), ("click", 1),
+    ("paste", 1), ("prop_del", 2, 1), ("capture", 2, 0), ("paste", 2),
+]
+_OWNER_DIES_MID_PASTE = [
+    ("click", 0), ("copy", 0, 7), ("disconnect", 0, 1), ("subscribe", 2, 1),
+    ("click", 1), ("paste", 1), ("prop_del", 2, 1), ("paste", 1), ("draw", 0, 3),
+]
 
 
 def _build_display(config):
@@ -254,102 +278,126 @@ def _build_display(config):
 
 def _apply_display(machine, apps, script):
     """Run *script*; return the observable display transcript."""
-    xserver = machine.xserver
     transcript = []
     for step in script:
         action = step[0]
         app = apps[step[1] % len(apps)]
-        if action == "click":
-            app.click()
-        elif action == "draw":
-            xserver.draw(app.client, app.window.drawable_id, bytes([step[2]]) * 24)
-        elif action == "draw_rect":
-            rect = xserver.draw_rect(
-                app.client, app.window.drawable_id,
-                step[2], step[3], step[4], step[5], bytes([step[6]]) * 16,
-            )
-            # Clipped rects are machine-independent coordinates, so the
-            # transcript can compare them directly (None for no-ops).
-            transcript.append(("draw-rect", rect))
-        elif action == "map":
-            xserver.map_window(app.client, app.window.drawable_id)
-        elif action == "unmap":
-            xserver.unmap_window(app.client, app.window.drawable_id)
-        elif action == "raise":
-            xserver.raise_window(app.client, app.window.drawable_id)
-        elif action == "capture":
-            via = _CAPTURE_VIAS[step[2]]
-            try:
-                transcript.append(("capture", via, app.capture_screen(via=via)))
-            except BadAccess as exc:
-                transcript.append(("capture-denied", via, str(exc)))
-        elif action == "capture_win":
-            other = apps[step[2] % len(apps)]
-            try:
-                transcript.append(("capture-win", app.capture_window(other.window)))
-            except BadAccess as exc:
-                transcript.append(("capture-win-denied", str(exc)))
-        elif action in ("copy_area", "copy_plane"):
-            src_sel = step[2]
-            if src_sel == 0:
-                src_id = xserver.root_window.drawable_id
-            else:
-                src_id = apps[(src_sel - 1) % len(apps)].window.drawable_id
-            request = xserver.copy_area if action == "copy_area" else xserver.copy_plane
-            try:
-                request(app.client, src_id, app.pixmap.drawable_id)
-                transcript.append((action, bytes(app.pixmap.content)))
-            except BadAccess as exc:
-                transcript.append((action + "-denied", str(exc)))
-        elif action == "copy":
-            try:
-                app.copy_text(bytes([step[2]]) * 12)
-                transcript.append(("copy", "ok"))
-            except BadAccess as exc:
-                transcript.append(("copy-denied", str(exc)))
-        elif action == "paste":
-            try:
-                transcript.append(("paste", app.paste_text()))
-            except BadAccess as exc:
-                transcript.append(("paste-denied", str(exc)))
-        elif action == "sendevent":
-            other = apps[step[2] % len(apps)]
-            try:
-                xserver.send_event(
-                    app.client,
-                    other.window.drawable_id,
-                    EventKind.SELECTION_NOTIFY,
-                    payload={"selection": CLIPBOARD, "property": SELECTION_PROPERTY},
-                )
-                transcript.append(("sendevent", "ok"))
-            except BadAccess as exc:
-                transcript.append(("sendevent-denied", str(exc)))
-        elif action == "prop":
-            other = apps[step[2] % len(apps)]
-            xserver.change_property(
+        if action not in _APP_FREE_STEPS and not app.client.connected:
+            transcript.append(("gone", action))
+            continue
+        try:
+            _apply_display_step(machine, apps, app, step, transcript)
+        except XError as exc:
+            # Requests naming a disconnected client's windows (or a paste
+            # whose requestor died mid-transfer).  Class names only: the
+            # messages carry machine-specific drawable ids.
+            transcript.append((action + "-error", type(exc).__name__))
+    return transcript
+
+
+def _apply_display_step(machine, apps, app, step, transcript):
+    xserver = machine.xserver
+    action = step[0]
+    if action == "click":
+        app.click()
+    elif action == "draw":
+        xserver.draw(app.client, app.window.drawable_id, bytes([step[2]]) * 24)
+    elif action == "draw_rect":
+        rect = xserver.draw_rect(
+            app.client, app.window.drawable_id,
+            step[2], step[3], step[4], step[5], bytes([step[6]]) * 16,
+        )
+        # Clipped rects are machine-independent coordinates, so the
+        # transcript can compare them directly (None for no-ops).
+        transcript.append(("draw-rect", rect))
+    elif action == "map":
+        xserver.map_window(app.client, app.window.drawable_id)
+    elif action == "unmap":
+        xserver.unmap_window(app.client, app.window.drawable_id)
+    elif action == "raise":
+        xserver.raise_window(app.client, app.window.drawable_id)
+    elif action == "capture":
+        via = _CAPTURE_VIAS[step[2]]
+        try:
+            transcript.append(("capture", via, app.capture_screen(via=via)))
+        except BadAccess as exc:
+            transcript.append(("capture-denied", via, str(exc)))
+    elif action == "capture_win":
+        other = apps[step[2] % len(apps)]
+        try:
+            transcript.append(("capture-win", app.capture_window(other.window)))
+        except BadAccess as exc:
+            transcript.append(("capture-win-denied", str(exc)))
+    elif action in ("copy_area", "copy_plane"):
+        src_sel = step[2]
+        if src_sel == 0:
+            src_id = xserver.root_window.drawable_id
+        else:
+            src_id = apps[(src_sel - 1) % len(apps)].window.drawable_id
+        request = xserver.copy_area if action == "copy_area" else xserver.copy_plane
+        try:
+            request(app.client, src_id, app.pixmap.drawable_id)
+            transcript.append((action, bytes(app.pixmap.content)))
+        except BadAccess as exc:
+            transcript.append((action + "-denied", str(exc)))
+    elif action == "copy":
+        try:
+            app.copy_text(bytes([step[2]]) * 12)
+            transcript.append(("copy", "ok"))
+        except BadAccess as exc:
+            transcript.append(("copy-denied", str(exc)))
+    elif action == "paste":
+        try:
+            transcript.append(("paste", app.paste_text()))
+        except BadAccess as exc:
+            transcript.append(("paste-denied", str(exc)))
+    elif action == "sendevent":
+        other = apps[step[2] % len(apps)]
+        try:
+            xserver.send_event(
                 app.client,
                 other.window.drawable_id,
-                SELECTION_PROPERTY,
-                bytes([step[3]]) * 8,
+                EventKind.SELECTION_NOTIFY,
+                payload={"selection": CLIPBOARD, "property": SELECTION_PROPERTY},
             )
-        elif action == "prop_del":
-            other = apps[step[2] % len(apps)]
-            try:
-                data = xserver.get_property(
-                    app.client, other.window.drawable_id, SELECTION_PROPERTY, delete=True
-                )
-                transcript.append(("prop-del", data))
-            except BadAccess as exc:
-                transcript.append(("prop-del-denied", str(exc)))
-        elif action == "subscribe":
-            other = apps[step[2] % len(apps)]
-            xserver.subscribe_property_events(app.client, other.window.drawable_id)
-        elif action == "alert":
-            k = step[1] % 4
-            xserver.display_alert(f"alert {k}", f"op{k}", pid=9000 + k, comm=f"daemon{k}")
-        elif action == "advance":
-            machine.run_for(step[1])
-    return transcript
+            transcript.append(("sendevent", "ok"))
+        except BadAccess as exc:
+            transcript.append(("sendevent-denied", str(exc)))
+    elif action == "prop":
+        other = apps[step[2] % len(apps)]
+        xserver.change_property(
+            app.client,
+            other.window.drawable_id,
+            SELECTION_PROPERTY,
+            bytes([step[3]]) * 8,
+        )
+    elif action == "prop_del":
+        other = apps[step[2] % len(apps)]
+        try:
+            data = xserver.get_property(
+                app.client, other.window.drawable_id, SELECTION_PROPERTY, delete=True
+            )
+            transcript.append(("prop-del", data))
+        except BadAccess as exc:
+            transcript.append(("prop-del-denied", str(exc)))
+    elif action == "subscribe":
+        other = apps[step[2] % len(apps)]
+        xserver.subscribe_property_events(app.client, other.window.drawable_id)
+    elif action == "alert":
+        k = step[1] % 4
+        xserver.display_alert(f"alert {k}", f"op{k}", pid=9000 + k, comm=f"daemon{k}")
+    elif action == "advance":
+        machine.run_for(step[1])
+    elif action == "disconnect":
+        kind = _DISCONNECT_ON.get(step[2])
+        if kind is None:
+            xserver.disconnect(app.client)
+        else:
+            def hook(event, client=app.client, kind=kind):
+                if event.kind is kind and client.connected:
+                    xserver.disconnect(client)
+
+            app.on_event(hook)
 
 
 def _display_observable_state(machine, apps):
@@ -387,6 +435,8 @@ def _display_observable_state(machine, apps):
 
 
 @given(script=display_steps)
+@example(script=_REQUESTOR_DIES_MID_PASTE)
+@example(script=_OWNER_DIES_MID_PASTE)
 @settings(max_examples=50, deadline=None)
 def test_display_fast_paths_are_byte_identical(script):
     fast_machine, fast_apps = _build_display(paper_config())
@@ -407,12 +457,14 @@ def test_display_fast_paths_are_byte_identical(script):
 
 
 @given(script=display_steps)
+@example(script=_REQUESTOR_DIES_MID_PASTE)
+@example(script=_OWNER_DIES_MID_PASTE)
 @settings(max_examples=25, deadline=None)
 def test_tracing_forces_the_reference_display_path(script):
     """A fast-configured machine with the tracer on must match the
     reference machine: tracing disables every display fast path at call
-    time (composition cache, snapshot handoff, banner cache, transfer
-    reuse), so the span tree always describes the reference protocol."""
+    time (composition cache, snapshot handoff, banner cache), so the span
+    tree always describes the reference protocol."""
     traced_machine, traced_apps = _build_display(paper_config())
     traced_machine.tracer.enabled = True
     ref_machine, ref_apps = _build_display(reference_config())
@@ -429,4 +481,3 @@ def test_tracing_forces_the_reference_display_path(script):
     # The fast machine must not have used any cache while traced.
     assert traced_machine.xserver.compose_cache_hits == 0
     assert traced_machine.xserver.compose_partial_hits == 0
-    assert traced_machine.xserver.selections.transfer_reuses == 0

@@ -98,7 +98,8 @@ class TestNetlinkPool:
             )
 
     def test_pooled_path_survives_reentrant_sends(self):
-        """A kernel handler that sends again must not corrupt the pool."""
+        """A kernel handler that sends again sees its own datagram intact:
+        each slow-handler send gets a fresh message."""
         machine = self._machine()
         kernel = machine.kernel
         channel = machine.overhaul.channel
@@ -106,7 +107,7 @@ class TestNetlinkPool:
         seen = []
 
         def outer(chan, message):
-            # Re-entrant send while the pooled message is lent out.
+            # Re-entrant send while the outer message is being handled.
             inner_result = chan.send_to_kernel(xtask, "test.inner", {"n": 1})
             seen.append((message.msg_type, dict(message.payload), inner_result))
             return "outer-done"
@@ -123,8 +124,7 @@ class TestNetlinkPool:
             ("test.inner", {"n": 1}),
             ("test.outer", {"n": 0}, "inner-done"),
         ]
-        # The pool is back in place and serves the next send.
-        assert channel._pool is not None
+        # The channel serves the next send normally.
         assert channel.send_to_kernel(xtask, "test.inner", {"n": 2}) == "inner-done"
 
     def test_batched_send_matches_loop_of_sends(self):

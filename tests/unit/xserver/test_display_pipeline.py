@@ -3,7 +3,8 @@
 Covers the composition cache and its invalidation rules (draw, map, unmap,
 raise, property writes, overlay banner appearance *and* expiry), the
 zero-copy drawable snapshots, the CopyPlane operation label, and the
-selection-transfer reuse pool.  The cross-configuration byte-equivalence of
+selection-transfer lifecycle (fresh records per paste, failure on client
+disconnect).  The cross-configuration byte-equivalence of
 all of these is separately enforced by the differential property tests in
 tests/property/test_fastpath_equivalence.py.
 """
@@ -110,18 +111,6 @@ class TestComposeCache:
         assert second == first  # properties are not rendered content
         assert xserver.compose_cache_misses == misses  # no full rebuild
         assert xserver.compose_partial_hits == partials + 1
-
-    def test_property_write_forces_full_recompose_without_incremental(self):
-        # With incremental composition off the fast path falls back to the
-        # whole-frame render key, so the same write is a full miss.
-        machine, app = _machine_with_app()
-        xserver = machine.xserver
-        xserver.incremental_compose = False
-        misses_before = xserver.compose_cache_misses
-        app.capture_screen()
-        xserver.change_property(app.client, app.window.drawable_id, "WM_NAME", b"t")
-        app.capture_screen()
-        assert xserver.compose_cache_misses > misses_before + 1  # both recomposed
 
     def test_banner_appearance_busts_the_cache(self):
         machine, app = _machine_with_app()
@@ -251,22 +240,13 @@ class TestCopyPlaneLabel:
 
 
 class TestSelectionTransferReuse:
-    def _clipboard_pair(self, config=None):
-        machine = Machine.with_overhaul(config if config is not None else _quiet_config())
+    def _clipboard_pair(self):
+        machine = Machine.with_overhaul(_quiet_config())
         source = SimApp(machine, "/usr/bin/src", comm="src")
         target = SimApp(machine, "/usr/bin/dst", comm="dst")
         machine.settle()
         source.copy_text(b"payload")
         return machine, source, target
-
-    def test_repeat_paste_reuses_the_transfer_record(self):
-        machine, source, target = self._clipboard_pair()
-        selections = machine.xserver.selections
-        assert target.paste_text() == b"payload"
-        assert selections.transfer_reuses == 0  # first round allocates
-        assert target.paste_text() == b"payload"
-        assert target.paste_text() == b"payload"
-        assert selections.transfer_reuses == 2
 
     def test_reused_transfers_get_fresh_ids(self):
         machine, source, target = self._clipboard_pair()
@@ -285,20 +265,97 @@ class TestSelectionTransferReuse:
         target.paste_text()
         assert ids == sorted(ids) and len(set(ids)) == 3
 
-    def test_reference_config_never_reuses(self):
-        machine, source, target = self._clipboard_pair(
-            _quiet_config(fast_netlink=False, fast_decision_cache=False,
-                          fast_audit_batch=False, fast_display=False)
-        )
-        for _ in range(3):
-            assert target.paste_text() == b"payload"
-        assert machine.xserver.selections.transfer_reuses == 0
-
     def test_completed_counter_still_advances_on_reuse(self):
         machine, source, target = self._clipboard_pair()
         for _ in range(5):
             target.paste_text()
         assert machine.xserver.selections.completed_transfers == 5
+
+
+class TestDisconnectFailsTransfers:
+    """A client disconnect fails the transfers it can no longer finish,
+    so abandoned round trips leave neither the transfer list nor the
+    in-flight index behind."""
+
+    N = 1_000
+
+    def _trio(self):
+        machine = Machine.with_overhaul(_quiet_config())
+        owner = SimApp(machine, "/usr/bin/src", comm="src")
+        requestor = SimApp(machine, "/usr/bin/dst", comm="dst")
+        snoop = SimApp(machine, "/usr/bin/snoop", comm="snoop")
+        machine.settle()
+        return machine, owner, requestor, snoop
+
+    def _unfetched(self, machine, requestor, count):
+        """*count* conversions the owner answers but the requestor never
+        fetches: each leaves its data stored and guarded."""
+        xserver = machine.xserver
+        for i in range(count):
+            xserver.convert_selection(
+                requestor.client, "CLIPBOARD", "STRING", f"P{i}",
+                requestor.window.drawable_id,
+            )
+
+    def test_unfetched_transfers_fail_when_both_ends_disconnect(self):
+        machine, owner, requestor, snoop = self._trio()
+        owner.copy_text(b"secret")
+        self._unfetched(machine, requestor, self.N)
+        xserver = machine.xserver
+        selections = xserver.selections
+        assert len(selections.active_transfers()) == self.N
+        assert len(selections._in_flight) == self.N
+
+        xserver.disconnect(owner.client)
+        # The data is already stored: the guard outlives the owner, so a
+        # third client still cannot read it ...
+        with pytest.raises(BadAccess):
+            xserver.get_property(snoop.client, requestor.window.drawable_id, "P0")
+        # ... while the paste target still can.
+        assert xserver.get_property(
+            requestor.client, requestor.window.drawable_id, "P0", delete=True
+        ) == b"secret"
+        assert selections.failed_transfers == 0
+
+        xserver.disconnect(requestor.client)
+        assert selections.active_transfers() == []
+        assert selections._in_flight == {}
+        assert selections.failed_transfers == self.N - 1
+        assert selections.completed_transfers == 1
+
+    def test_unanswered_transfers_fail_when_both_ends_disconnect(self):
+        machine, owner, requestor, _ = self._trio()
+        xserver = machine.xserver
+        # The owner claims the selection but never writes the data.
+        xserver.set_selection_owner(owner.client, "CLIPBOARD", owner.window.drawable_id)
+        for _ in range(self.N):
+            xserver.convert_selection(
+                requestor.client, "CLIPBOARD", "STRING", "XSEL_DATA",
+                requestor.window.drawable_id,
+            )
+        selections = xserver.selections
+        xserver.disconnect(owner.client)
+        xserver.disconnect(requestor.client)
+        assert selections.active_transfers() == []
+        assert selections._in_flight == {}
+        assert selections.failed_transfers == self.N
+
+    def test_owner_disconnect_fails_only_unanswered_transfers(self):
+        machine, owner, requestor, _ = self._trio()
+        xserver = machine.xserver
+        owner.copy_text(b"secret")
+        self._unfetched(machine, requestor, 3)
+        # A REQUESTED transfer the owner will now never answer.
+        owner._selection_data = None
+        xserver.convert_selection(
+            requestor.client, "CLIPBOARD", "STRING", "LATE",
+            requestor.window.drawable_id,
+        )
+        selections = xserver.selections
+        xserver.disconnect(owner.client)
+        assert selections.failed_transfers == 1
+        assert len(selections.active_transfers()) == 3
+        assert len(selections._in_flight) == 3
 
 
 class TestBannerCache:

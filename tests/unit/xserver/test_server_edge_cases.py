@@ -62,7 +62,10 @@ class TestDisconnectCleanup:
         # The owner's property write now targets a dead window id.
         with pytest.raises(BadWindow):
             server.change_property(owner, req_window.drawable_id, "P", b"late")
-        assert transfer.state is TransferState.REQUESTED
+        # The disconnect failed the transfer: nothing can ever complete it.
+        assert transfer.state is TransferState.FAILED
+        assert server.selections.active_transfers() == []
+        assert server.selections.failed_transfers == 1
 
 
 class TestStaleReferences:
